@@ -125,7 +125,8 @@ perfgate:
 		-scaling-bench '$(SCALING_BENCH)' -scaling-floor $(SCALING_FLOOR) -scaling-min $(SCALING_MIN)
 
 # Short fuzz pass over every fuzz target (value parsing, the quarantine
-# of malformed tuples, and the metrics codec round-trips). Extend
+# of malformed tuples, the metrics codec round-trips, the WAL and
+# colbatch codecs, and the frame encoder against encoding/json). Extend
 # FUZZTIME for deeper runs.
 FUZZTIME ?= 15s
 
@@ -139,6 +140,7 @@ fuzz:
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzWALTornTail -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzColumnarFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzColumnarTornFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzFrameEncode -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

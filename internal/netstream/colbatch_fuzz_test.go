@@ -24,7 +24,7 @@ func fuzzBatchFrame(tb testing.TB, n int, seq uint64) []byte {
 	tb.Helper()
 	schema := fuzzSchema()
 	base := time.Date(2021, 6, 1, 0, 0, 0, 123456789, time.UTC)
-	wb := NewWireColumnBatch(schema.Len())
+	batch := stream.NewColumnBatch(schema, n)
 	for i := 0; i < n; i++ {
 		vals := []stream.Value{
 			stream.Time(base.Add(time.Duration(i) * time.Second)),
@@ -39,9 +39,11 @@ func fuzzBatchFrame(tb testing.TB, n int, seq uint64) []byte {
 		tu.SubStream = i % 2
 		tu.EventTime = base.Add(time.Duration(i) * time.Second)
 		tu.Arrival = tu.EventTime.Add(time.Millisecond)
-		wb.AppendTuple(tu)
+		if err := batch.AppendTuple(tu); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	payload, err := EncodeFrame(&Frame{Type: FrameColBatch, Channel: ChannelDirty, Seq: seq, Batch: wb})
+	payload, err := EncodeFrame(&Frame{Type: FrameColBatch, Channel: ChannelDirty, Seq: seq, rows: batch})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -50,9 +52,11 @@ func fuzzBatchFrame(tb testing.TB, n int, seq uint64) []byte {
 
 // FuzzColumnarFrame checks the decode→encode→decode fixed point of the
 // colbatch codec: any frame payload DecodeColumnBatch accepts must
-// survive re-encoding through AppendTuple with byte-identical wire
-// form and identical decoded tuples — i.e. one decode/encode round
-// normalises, after which the codec is a fixed point.
+// survive re-encoding through the server's path — rows accumulated
+// into a stream.ColumnBatch and rendered by EncodeFrame — with
+// byte-identical wire form and identical decoded tuples, i.e. one
+// decode/encode round normalises, after which the codec is a fixed
+// point.
 func FuzzColumnarFrame(f *testing.F) {
 	f.Add(fuzzBatchFrame(f, 0, 1))
 	f.Add(fuzzBatchFrame(f, 1, 2))
@@ -74,15 +78,32 @@ func FuzzColumnarFrame(f *testing.F) {
 		if len(tuples) != fr.Batch.Count {
 			t.Fatalf("decoded %d tuples from a batch of count %d", len(tuples), fr.Batch.Count)
 		}
-		// Re-encode the decoded rows and decode again: the tuples must be
-		// identical.
-		wb := NewWireColumnBatch(schema.Len())
-		for _, tu := range tuples {
-			wb.AppendTuple(tu)
+		// reencode accumulates rows the way the server's columnar drain
+		// does and renders them; rows the batch cannot hold are rejected.
+		reencode := func(rows []stream.Tuple) ([]byte, []stream.Tuple, bool) {
+			batch := stream.NewColumnBatch(schema, len(rows))
+			for _, tu := range rows {
+				if err := batch.AppendTuple(tu); err != nil {
+					return nil, nil, false
+				}
+			}
+			payload, err := EncodeFrame(&Frame{Type: FrameColBatch, rows: batch})
+			if err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			back, err := DecodeFrame(payload)
+			if err != nil {
+				t.Fatalf("re-encoded frame does not decode: %v", err)
+			}
+			again, err := DecodeColumnBatch(back.Batch, schema)
+			if err != nil {
+				t.Fatalf("re-encoded batch rejected: %v", err)
+			}
+			return payload, again, true
 		}
-		again, err := DecodeColumnBatch(wb, schema)
-		if err != nil {
-			t.Fatalf("re-encoded batch rejected: %v", err)
+		first, again, ok := reencode(tuples)
+		if !ok {
+			return
 		}
 		if len(again) != len(tuples) {
 			t.Fatalf("re-decode yielded %d tuples, want %d", len(again), len(tuples))
@@ -93,12 +114,9 @@ func FuzzColumnarFrame(f *testing.F) {
 			}
 		}
 		// And the wire form itself is now a fixed point.
-		wb2 := NewWireColumnBatch(schema.Len())
-		for _, tu := range again {
-			wb2.AppendTuple(tu)
-		}
-		if !reflect.DeepEqual(wb, wb2) {
-			t.Fatalf("wire form not a fixed point:\nfirst  %+v\nsecond %+v", wb, wb2)
+		second, _, _ := reencode(again)
+		if !bytes.Equal(first, second) {
+			t.Fatalf("wire form not a fixed point:\nfirst  %s\nsecond %s", first, second)
 		}
 	})
 }

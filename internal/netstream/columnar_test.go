@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -14,8 +13,9 @@ import (
 
 // TestColumnBatchRoundTrip: a batch survives the wire encoding exactly
 // — IDs, substreams, nanosecond timestamps and every cell including
-// NULL — and the two encoders (row-wise AppendTuple, column-major
-// EncodeColumnBatch) produce the identical wire payload.
+// NULL — and the two encoders (the server's direct rendering of the
+// accumulated ColumnBatch, and EncodeColumnBatch's WireColumnBatch
+// through encoding/json) produce the identical wire payload.
 func TestColumnBatchRoundTrip(t *testing.T) {
 	schema := wireSchema(t)
 	base := time.Date(2021, 6, 1, 12, 0, 0, 987654321, time.UTC)
@@ -42,30 +42,39 @@ func TestColumnBatchRoundTrip(t *testing.T) {
 		}
 	}
 
-	colMajor := EncodeColumnBatch(batch)
-	rowWise := NewWireColumnBatch(schema.Len())
-	for _, tu := range rows {
-		rowWise.AppendTuple(tu)
+	direct, err := EncodeFrame(&Frame{Type: FrameColBatch, rows: batch})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(colMajor, rowWise) {
-		t.Fatalf("encoders disagree:\ncolumn-major %+v\nrow-wise     %+v", colMajor, rowWise)
+	oracle, err := json.Marshal(&Frame{Type: FrameColBatch, Batch: EncodeColumnBatch(batch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(direct) != string(oracle) {
+		t.Fatalf("encoders disagree:\ndirect %s\noracle %s", direct, oracle)
 	}
 
-	decoded, err := DecodeColumnBatch(colMajor, schema)
+	f, err := DecodeFrame(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeColumnBatch(f.Batch, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameTuples(t, "batch round trip", decoded, rows)
 
 	// All-zero substreams omit the subs array entirely.
-	zero := NewWireColumnBatch(schema.Len())
+	zero := stream.NewColumnBatch(schema, 1)
 	flat := rows[0]
 	flat.SubStream = 0
-	zero.AppendTuple(flat)
-	if zero.Subs != nil {
-		t.Errorf("all-zero substreams encoded as %v, want omitted", zero.Subs)
+	if err := zero.AppendTuple(flat); err != nil {
+		t.Fatal(err)
 	}
-	payload, err := EncodeFrame(&Frame{Type: FrameColBatch, Batch: zero})
+	if wb := EncodeColumnBatch(zero); wb.Subs != nil {
+		t.Errorf("all-zero substreams encoded as %v, want omitted", wb.Subs)
+	}
+	payload, err := EncodeFrame(&Frame{Type: FrameColBatch, rows: zero})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -396,6 +396,10 @@ func (h *Hub) SetHello(channelName string, f *Frame) error {
 // number. Terminal frames (eof/error) are retained like data frames, so
 // late subscribers observe the stream's end. The call applies the hub's
 // backpressure policy per subscriber.
+//
+// Publish encodes f synchronously and keeps only the encoded bytes: it
+// retains neither f nor the tuple, batch or entry f carries, so the
+// caller may reuse all of them as soon as it returns.
 func (h *Hub) Publish(channelName string, f *Frame) error {
 	terminal := f.Type == FrameEOF || f.Type == FrameError
 	h.mu.Lock()

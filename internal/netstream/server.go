@@ -366,7 +366,7 @@ func (s *Server) runPipeline(ctx context.Context) error {
 	}
 
 	proc.CleanTap = func(t stream.Tuple) {
-		if err := s.hub.Publish(s.chClean, &Frame{Type: FrameTuple, Tuple: EncodeTuple(t)}); err != nil {
+		if err := s.hub.Publish(s.chClean, &Frame{Type: FrameTuple, row: &t}); err != nil {
 			s.logf("clean publish: %v", err)
 		}
 	}
@@ -406,9 +406,10 @@ func (s *Server) runPipeline(ctx context.Context) error {
 	case s.cfg.CheckpointPath != "":
 		polluted, plog, ckr, err = proc.RunStreamCheckpointed(stream.WithContext(ctx, src), resume)
 	case s.cfg.Shards > 1:
-		// Arena mode is safe here: the publish loop below fully renders
-		// each tuple into a WireTuple before the next Next call, so no
-		// loaned tuple memory is retained.
+		// Arena mode is safe here: the publish loop below encodes each
+		// tuple's frame before the next Next call, and Hub.Publish
+		// retains neither the frame nor the tuple, so no loaned tuple
+		// memory is retained.
 		polluted, plog, err = proc.RunStreamSharded(stream.WithContext(ctx, src), s.cfg.Reorder, core.ShardConfig{
 			KeyAttr: s.cfg.ShardKey,
 			Shards:  s.cfg.Shards,
@@ -429,8 +430,7 @@ func (s *Server) runPipeline(ctx context.Context) error {
 			return nil
 		}
 		for ; flushed < len(plog.Entries); flushed++ {
-			e := plog.Entries[flushed]
-			if err := s.hub.Publish(s.chLog, &Frame{Type: FrameLog, Entry: &e}); err != nil {
+			if err := s.hub.Publish(s.chLog, &Frame{Type: FrameLog, Entry: &plog.Entries[flushed]}); err != nil {
 				return err
 			}
 		}
@@ -453,7 +453,7 @@ func (s *Server) runPipeline(ctx context.Context) error {
 				if err := flushLog(); err != nil {
 					return fail(err)
 				}
-				if err := s.hub.Publish(s.chDirty, &Frame{Type: FrameColBatch, Batch: EncodeColumnBatch(out)}); err != nil {
+				if err := s.hub.Publish(s.chDirty, &Frame{Type: FrameColBatch, rows: out}); err != nil {
 					return fail(err)
 				}
 				emitted += n
@@ -472,20 +472,19 @@ func (s *Server) runPipeline(ctx context.Context) error {
 	} else {
 		// Tuple-wise drain; in columnar mode with a reorder window > 1
 		// the reorder wrapper hides the runner's batch face, so rows are
-		// re-accumulated into colbatch frames here.
-		var wb *WireColumnBatch
+		// re-accumulated into colbatch frames here. Publish keeps only the
+		// encoded bytes, so one batch is reused across frames.
+		var acc *stream.ColumnBatch
 		if s.cfg.Columnar {
-			wb = NewWireColumnBatch(s.cfg.Schema.Len())
+			acc = stream.NewColumnBatch(s.cfg.Schema, s.cfg.ColumnarBatch)
 		}
 		flushBatch := func() error {
-			if wb == nil || wb.Count == 0 {
+			if acc == nil || acc.Len() == 0 {
 				return nil
 			}
-			f := &Frame{Type: FrameColBatch, Batch: wb}
-			// The hub retains published frames (replay ring, WAL), so a
-			// fresh batch is allocated instead of resetting this one.
-			wb = NewWireColumnBatch(s.cfg.Schema.Len())
-			return s.hub.Publish(s.chDirty, f)
+			err := s.hub.Publish(s.chDirty, &Frame{Type: FrameColBatch, rows: acc})
+			acc.Reset()
+			return err
 		}
 		for {
 			t, err := polluted.Next()
@@ -508,14 +507,16 @@ func (s *Server) runPipeline(ctx context.Context) error {
 			if err := flushLog(); err != nil {
 				return fail(err)
 			}
-			if wb != nil {
-				wb.AppendTuple(t)
-				if wb.Count >= s.cfg.ColumnarBatch {
+			if acc != nil {
+				if err := acc.AppendTuple(t); err != nil {
+					return fail(err)
+				}
+				if acc.Len() >= s.cfg.ColumnarBatch {
 					if err := flushBatch(); err != nil {
 						return fail(err)
 					}
 				}
-			} else if err := s.hub.Publish(s.chDirty, &Frame{Type: FrameTuple, Tuple: EncodeTuple(t)}); err != nil {
+			} else if err := s.hub.Publish(s.chDirty, &Frame{Type: FrameTuple, row: &t}); err != nil {
 				return fail(err)
 			}
 			emitted++

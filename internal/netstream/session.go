@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"icewafl/internal/obs"
+	"icewafl/internal/stream"
 )
 
 // ErrUnknownSession reports a control-plane operation addressed at a
@@ -139,10 +140,25 @@ func (sess *Session) Server() *Server { return sess.srv }
 // reading, then the hub closes — releasing any Publish wedged on a
 // stuck block-policy subscriber — and remaining connections are
 // force-closed. Idempotent; every caller observes the same result.
+//
+// A pipeline still running when stop cancels it ends with the error the
+// cancellation itself causes (its source reports stream.ErrStopped, or
+// a publish meets the closed hub); that is a clean stop and returns
+// nil. An error the pipeline had already ended with is returned as is.
 func (sess *Session) stop() error {
 	sess.stopOnce.Do(func() {
+		running := true
+		select {
+		case <-sess.srv.PipelineDone():
+			running = false
+		default:
+		}
 		sess.cancel()
-		sess.stopErr = sess.srv.drainAndClose(nil, sess.pipeRes)
+		err := sess.srv.drainAndClose(nil, sess.pipeRes)
+		if running && (errors.Is(err, stream.ErrStopped) || errors.Is(err, context.Canceled) || errors.Is(err, ErrHubClosed)) {
+			err = nil
+		}
+		sess.stopErr = err
 		close(sess.stopped)
 	})
 	<-sess.stopped
@@ -537,7 +553,8 @@ func (s *Service) List() []SessionStatus {
 // released from the tenant's budget and its state directory removed
 // (or archived under <StateDir>/.deleted when ArchiveDeleted); a
 // concurrent create of the same ID waits for the teardown to finish.
-// Returns the pipeline's terminal error.
+// Returns the pipeline's terminal error; the stop Delete itself causes
+// is not one (see Session.stop).
 func (s *Service) Delete(tenant, name string) error {
 	id := tenant + "/" + name
 	s.mu.Lock()
@@ -852,9 +869,11 @@ func (s *Service) HTTPHandler() http.Handler {
 			writeJSON(w, http.StatusNotFound, map[string]any{"error": ErrUnknownSession.Error()})
 			return
 		}
+		// Delete already reports the stop it caused as clean, so any error
+		// left is one the pipeline failed with on its own.
 		err := s.Delete(tenant, name)
 		resp := map[string]any{"deleted": sess.ID(), "drain_expired": sess.srv.DrainExpired()}
-		if err != nil && !errors.Is(err, ErrUnknownSession) && !errors.Is(err, context.Canceled) {
+		if err != nil && !errors.Is(err, ErrUnknownSession) {
 			resp["pipeline_error"] = err.Error()
 		}
 		writeJSON(w, http.StatusOK, resp)

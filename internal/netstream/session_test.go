@@ -384,6 +384,135 @@ func TestServiceSubscribeDeletedSessionTypedError(t *testing.T) {
 	}
 }
 
+// stallingSource yields the first n tuples of src, then blocks in Next
+// until gate closes (a nil gate does not block) and fails with err.
+type stallingSource struct {
+	src  stream.Source
+	n    int
+	gate <-chan struct{}
+	err  error
+}
+
+func (g *stallingSource) Schema() *stream.Schema { return g.src.Schema() }
+
+func (g *stallingSource) Next() (stream.Tuple, error) {
+	if g.n > 0 {
+		g.n--
+		return g.src.Next()
+	}
+	if g.gate != nil {
+		<-g.gate
+	}
+	return stream.Tuple{}, g.err
+}
+
+// TestServiceDeleteMidStreamIsCleanStop pins that deleting a session
+// whose pipeline is blocked mid-stream in its source reports a clean
+// stop — through Service.Delete and through the DELETE handler — while
+// a pipeline that had already failed on its own still reports its
+// error.
+func TestServiceDeleteMidStreamIsCleanStop(t *testing.T) {
+	schema := wireSchema(t)
+	const emitted = 5
+	gates := map[int64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
+	build := func(raw json.RawMessage) (Config, error) {
+		var spec testSessionSpec
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			return Config{}, err
+		}
+		gate, err := gates[spec.Seed], errors.New("gate released")
+		if gate == nil {
+			err = errors.New("source failed")
+		}
+		return Config{
+			Schema: schema,
+			Proc:   testProcess(spec.Seed),
+			NewSource: func() (stream.Source, error) {
+				return &stallingSource{src: testSource(schema, 100), n: emitted, gate: gate, err: err}, nil
+			},
+			Reorder: 1,
+			Buffer:  64,
+			Replay:  1 << 10,
+		}, nil
+	}
+	svc, _, baseURL := startService(t, ServiceConfig{Build: build})
+	released := map[int64]bool{}
+	release := func(seed int64) {
+		if !released[seed] {
+			released[seed] = true
+			close(gates[seed])
+		}
+	}
+	// Registered after startService, so a failing test still unblocks
+	// the sources before the service shuts down.
+	t.Cleanup(func() { release(1); release(2) })
+	sessions := map[string]*Session{}
+	for seed, name := range map[int64]string{1: "api", 2: "http", 3: "failed"} {
+		if status, body := createSession(t, baseURL, "t", name, specJSON(t, testSessionSpec{Seed: seed})); status != http.StatusCreated {
+			t.Fatalf("create %s: HTTP %d: %v", name, status, body)
+		}
+		sess, ok := svc.Get("t", name)
+		if !ok {
+			t.Fatalf("session %s missing", name)
+		}
+		sessions[name] = sess
+		deadline := time.Now().Add(10 * time.Second)
+		for sess.srv.hub.Seq(sess.srv.chDirty) < emitted {
+			if time.Now().After(deadline) {
+				t.Fatalf("session %s published %d tuples, want %d", name, sess.srv.hub.Seq(sess.srv.chDirty), emitted)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Service.Delete: the pipeline is blocked in the source; it is
+	// released only after Delete has cancelled it.
+	apiErr := make(chan error, 1)
+	go func() { apiErr <- svc.Delete("t", "api") }()
+	<-sessions["api"].ctx.Done()
+	release(1)
+	if err := <-apiErr; err != nil {
+		t.Fatalf("delete of a running session: %v, want clean stop", err)
+	}
+
+	// The DELETE handler, same shape.
+	type deleteResult struct {
+		body map[string]any
+		err  error
+	}
+	httpRes := make(chan deleteResult, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodDelete, baseURL+"/v1/sessions/t/http", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			httpRes <- deleteResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		httpRes <- deleteResult{body: body, err: err}
+	}()
+	<-sessions["http"].ctx.Done()
+	release(2)
+	res := <-httpRes
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.body["deleted"] != "t/http" {
+		t.Fatalf("DELETE response %v, want deleted t/http", res.body)
+	}
+	if perr, ok := res.body["pipeline_error"]; ok {
+		t.Fatalf("DELETE of a running session reported pipeline_error %v", perr)
+	}
+
+	// A pipeline that failed before the delete keeps its error.
+	<-sessions["failed"].srv.PipelineDone()
+	if err := svc.Delete("t", "failed"); err == nil || !strings.Contains(err.Error(), "source failed") {
+		t.Fatalf("delete of a failed session: %v, want its source error", err)
+	}
+}
+
 // TestServiceSubscriberQuotaTypedOnWire pins that a subscriber over the
 // tenant's MaxSubscribers ceiling is rejected with a typed quota error
 // frame that round-trips to a permanent QuotaError.

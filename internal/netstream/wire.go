@@ -21,9 +21,13 @@ package netstream
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"icewafl/internal/core"
 	"icewafl/internal/schemafile"
@@ -85,6 +89,14 @@ type Frame struct {
 	// tenant quota or rate limit, so clients can map the rejection to a
 	// typed QuotaError.
 	Quota *QuotaInfo `json:"quota,omitempty"`
+
+	// row and rows are the unrendered payloads the server publishes in
+	// place of Tuple and Batch: EncodeFrame renders them into exactly
+	// the bytes EncodeTuple and EncodeColumnBatch would have produced,
+	// without building the intermediate strings. When set they take
+	// precedence over Tuple and Batch. They never come off the wire.
+	row  *stream.Tuple
+	rows *stream.ColumnBatch
 }
 
 // GapInfo is the machine-readable payload of a replay-gap rejection.
@@ -182,43 +194,6 @@ type WireColumnBatch struct {
 	Events   []string   `json:"events"`
 	Arrivals []string   `json:"arrivals"`
 	Columns  [][]string `json:"columns"`
-}
-
-// NewWireColumnBatch returns an empty batch for a schema of the given
-// width, ready for AppendTuple.
-func NewWireColumnBatch(width int) *WireColumnBatch {
-	return &WireColumnBatch{Columns: make([][]string, width)}
-}
-
-// AppendTuple appends t as one row. The tuple's width must match the
-// batch width the caller constructed it with.
-func (wb *WireColumnBatch) AppendTuple(t stream.Tuple) {
-	wb.IDs = append(wb.IDs, t.ID)
-	if wb.Subs != nil || t.SubStream != 0 {
-		// Backfill zeros for rows appended before the first non-zero sub.
-		for len(wb.Subs) < wb.Count {
-			wb.Subs = append(wb.Subs, 0)
-		}
-		wb.Subs = append(wb.Subs, t.SubStream)
-	}
-	wb.Events = append(wb.Events, t.EventTime.UTC().Format(wireTime))
-	wb.Arrivals = append(wb.Arrivals, t.Arrival.UTC().Format(wireTime))
-	for c := 0; c < t.Len(); c++ {
-		wb.Columns[c] = append(wb.Columns[c], t.At(c).String())
-	}
-	wb.Count++
-}
-
-// Reset empties the batch for reuse, keeping its backing arrays.
-func (wb *WireColumnBatch) Reset() {
-	wb.Count = 0
-	wb.IDs = wb.IDs[:0]
-	wb.Subs = nil
-	wb.Events = wb.Events[:0]
-	wb.Arrivals = wb.Arrivals[:0]
-	for c := range wb.Columns {
-		wb.Columns[c] = wb.Columns[c][:0]
-	}
 }
 
 // EncodeColumnBatch renders every row of b for the wire without
@@ -376,9 +351,6 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// EncodeFrame marshals f.
-func EncodeFrame(f *Frame) ([]byte, error) { return json.Marshal(f) }
-
 // DecodeFrame unmarshals one frame payload.
 func DecodeFrame(payload []byte) (*Frame, error) {
 	var f Frame
@@ -386,4 +358,404 @@ func DecodeFrame(payload []byte) (*Frame, error) {
 		return nil, fmt.Errorf("netstream: decode frame: %w", err)
 	}
 	return &f, nil
+}
+
+// EncodeFrame renders f as one JSON object, byte-identical to what
+// encoding/json's Marshal produces for the same frame (FuzzFrameEncode
+// holds the two side by side). IDs, timestamps and cells are appended
+// straight into a pooled scratch buffer and copied out into an
+// exact-size result, so a frame costs one allocation. Like Marshal, it
+// rejects a log entry whose event time has no RFC 3339 form.
+func EncodeFrame(f *Frame) ([]byte, error) {
+	sp := encodeScratch.Get().(*[]byte)
+	b, err := appendFrame((*sp)[:0], f)
+	var out []byte
+	if err == nil {
+		out = make([]byte, len(b))
+		copy(out, b)
+	}
+	if cap(b) <= maxPooledScratch {
+		// An oversized frame's buffer is left to the collector; the pool
+		// keeps the previous one rather than pinning the large one.
+		*sp = b
+	}
+	encodeScratch.Put(sp)
+	return out, err
+}
+
+// encodeScratch holds EncodeFrame's reusable render buffers.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledScratch caps the render buffer a pool entry keeps: a 256-row
+// colbatch frame of a typical schema fits, a pathological frame is not
+// retained.
+const maxPooledScratch = 256 << 10
+
+// appendFrame appends f's JSON object to b, fields in Frame's
+// declaration order with encoding/json's omitempty rules.
+func appendFrame(b []byte, f *Frame) ([]byte, error) {
+	b = append(b, `{"type":`...)
+	b = appendJSONString(b, f.Type)
+	if f.Channel != "" {
+		b = append(b, `,"channel":`...)
+		b = appendJSONString(b, f.Channel)
+	}
+	if f.Seq != 0 {
+		b = append(b, `,"seq":`...)
+		b = strconv.AppendUint(b, f.Seq, 10)
+	}
+	if f.Schema != nil {
+		b = append(b, `,"schema":{"timestamp":`...)
+		b = appendJSONString(b, f.Schema.Timestamp)
+		b = append(b, `,"fields":`...)
+		if f.Schema.Fields == nil {
+			b = append(b, "null"...)
+		} else {
+			b = append(b, '[')
+			for i, fd := range f.Schema.Fields {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, `{"name":`...)
+				b = appendJSONString(b, fd.Name)
+				b = append(b, `,"kind":`...)
+				b = appendJSONString(b, fd.Kind)
+				b = append(b, '}')
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+	}
+	switch {
+	case f.row != nil:
+		b = appendTuple(append(b, `,"tuple":`...), f.row)
+	case f.Tuple != nil:
+		b = appendWireTuple(append(b, `,"tuple":`...), f.Tuple)
+	}
+	switch {
+	case f.rows != nil:
+		b = appendColumnBatch(append(b, `,"batch":`...), f.rows)
+	case f.Batch != nil:
+		b = appendWireColumnBatch(append(b, `,"batch":`...), f.Batch)
+	}
+	if f.Entry != nil {
+		var err error
+		if b, err = appendEntry(append(b, `,"entry":`...), f.Entry); err != nil {
+			return b, err
+		}
+	}
+	if f.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendJSONString(b, f.Error)
+	}
+	if f.Gap != nil {
+		b = append(b, `,"gap":{"requested":`...)
+		b = strconv.AppendUint(b, f.Gap.Requested, 10)
+		b = append(b, `,"server_min":`...)
+		b = strconv.AppendUint(b, f.Gap.ServerMin, 10)
+		b = append(b, '}')
+	}
+	if f.Quota != nil {
+		b = append(b, `,"quota":{"tenant":`...)
+		b = appendJSONString(b, f.Quota.Tenant)
+		b = append(b, `,"resource":`...)
+		b = appendJSONString(b, f.Quota.Resource)
+		b = append(b, `,"limit":`...)
+		b = strconv.AppendUint(b, f.Quota.Limit, 10)
+		b = append(b, `,"used":`...)
+		b = strconv.AppendUint(b, f.Quota.Used, 10)
+		b = append(b, '}')
+	}
+	return append(b, '}'), nil
+}
+
+// appendTuple appends t as the WireTuple object EncodeTuple would
+// produce.
+func appendTuple(b []byte, t *stream.Tuple) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendUint(b, t.ID, 10)
+	if t.SubStream != 0 {
+		b = append(b, `,"sub":`...)
+		b = strconv.AppendInt(b, int64(t.SubStream), 10)
+	}
+	b = appendWireTime(append(b, `,"event":`...), t.EventTime)
+	b = appendWireTime(append(b, `,"arrival":`...), t.Arrival)
+	b = append(b, `,"values":[`...)
+	vals := t.Values()
+	for i := range vals {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCell(b, &vals[i])
+	}
+	return append(b, "]}"...)
+}
+
+// appendWireTuple appends an already rendered tuple.
+func appendWireTuple(b []byte, wt *WireTuple) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendUint(b, wt.ID, 10)
+	if wt.Sub != 0 {
+		b = append(b, `,"sub":`...)
+		b = strconv.AppendInt(b, int64(wt.Sub), 10)
+	}
+	b = appendJSONString(append(b, `,"event":`...), wt.Event)
+	b = appendJSONString(append(b, `,"arrival":`...), wt.Arrival)
+	b = appendJSONStrings(append(b, `,"values":`...), wt.Values)
+	return append(b, '}')
+}
+
+// appendColumnBatch appends cb as the WireColumnBatch object
+// EncodeColumnBatch would produce, column-major like the wire form.
+func appendColumnBatch(b []byte, cb *stream.ColumnBatch) []byte {
+	n := cb.Len()
+	b = append(b, `{"count":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, `,"ids":`...)
+	if n == 0 {
+		// EncodeColumnBatch copies the IDs with append onto nil, which
+		// stays nil for an empty batch.
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for r, id := range cb.IDs() {
+			if r > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(b, id, 10)
+		}
+		b = append(b, ']')
+	}
+	subs := cb.SubStreams()
+	for _, sub := range subs {
+		if sub != 0 {
+			b = append(b, `,"subs":[`...)
+			for r, s := range subs {
+				if r > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(b, int64(s), 10)
+			}
+			b = append(b, ']')
+			break
+		}
+	}
+	b = append(b, `,"events":[`...)
+	for r, at := range cb.EventTimes() {
+		if r > 0 {
+			b = append(b, ',')
+		}
+		b = appendWireTime(b, at)
+	}
+	b = append(b, `],"arrivals":[`...)
+	for r, at := range cb.Arrivals() {
+		if r > 0 {
+			b = append(b, ',')
+		}
+		b = appendWireTime(b, at)
+	}
+	b = append(b, `],"columns":[`...)
+	for c := 0; c < cb.Schema().Len(); c++ {
+		if c > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for r := 0; r < n; r++ {
+			if r > 0 {
+				b = append(b, ',')
+			}
+			v := cb.Value(r, c)
+			b = appendCell(b, &v)
+		}
+		b = append(b, ']')
+	}
+	return append(b, "]}"...)
+}
+
+// appendWireColumnBatch appends an already rendered batch.
+func appendWireColumnBatch(b []byte, wb *WireColumnBatch) []byte {
+	b = append(b, `{"count":`...)
+	b = strconv.AppendInt(b, int64(wb.Count), 10)
+	b = append(b, `,"ids":`...)
+	if wb.IDs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, id := range wb.IDs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(b, id, 10)
+		}
+		b = append(b, ']')
+	}
+	if len(wb.Subs) > 0 {
+		b = append(b, `,"subs":[`...)
+		for i, s := range wb.Subs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(s), 10)
+		}
+		b = append(b, ']')
+	}
+	b = appendJSONStrings(append(b, `,"events":`...), wb.Events)
+	b = appendJSONStrings(append(b, `,"arrivals":`...), wb.Arrivals)
+	b = append(b, `,"columns":`...)
+	if wb.Columns == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for c, col := range wb.Columns {
+			if c > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONStrings(b, col)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// appendEntry appends a pollution-log entry as encoding/json renders
+// core.Entry.
+func appendEntry(b []byte, e *core.Entry) ([]byte, error) {
+	b = append(b, `{"tuple_id":`...)
+	b = strconv.AppendUint(b, e.TupleID, 10)
+	b = append(b, `,"sub_stream":`...)
+	b = strconv.AppendInt(b, int64(e.SubStream), 10)
+	b, err := appendJSONTime(append(b, `,"event_time":`...), e.EventTime)
+	if err != nil {
+		return b, fmt.Errorf("netstream: encode log entry of tuple %d: %w", e.TupleID, err)
+	}
+	b = appendJSONString(append(b, `,"polluter":`...), e.Polluter)
+	b = appendJSONString(append(b, `,"error":`...), e.Error)
+	if len(e.Attrs) > 0 {
+		b = appendJSONStrings(append(b, `,"attrs":`...), e.Attrs)
+	}
+	return append(b, '}'), nil
+}
+
+// appendCell appends one attribute value as the JSON string of its
+// Value.String rendering. Only string values can hold bytes JSON must
+// escape; every other kind renders as plain ASCII digits, signs,
+// letters and punctuation.
+func appendCell(b []byte, v *stream.Value) []byte {
+	if s, ok := v.AsString(); ok {
+		return appendJSONString(b, s)
+	}
+	b = append(b, '"')
+	b = v.Append(b)
+	return append(b, '"')
+}
+
+// appendWireTime appends a tuple timestamp in the wire time encoding,
+// quoted.
+func appendWireTime(b []byte, t time.Time) []byte {
+	b = append(b, '"')
+	b = t.UTC().AppendFormat(b, wireTime)
+	return append(b, '"')
+}
+
+// appendJSONTime appends t exactly as time.Time.MarshalJSON renders it:
+// quoted RFC 3339 with nanoseconds in t's own zone. Like MarshalJSON it
+// fails when the year or the zone offset has no RFC 3339 form.
+func appendJSONTime(b []byte, t time.Time) ([]byte, error) {
+	b = append(b, '"')
+	n0 := len(b)
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	switch {
+	case b[n0+len("9999")] != '-':
+		return b, errors.New("Time.MarshalJSON: year outside of range [0,9999]")
+	case b[len(b)-1] != 'Z':
+		c := b[len(b)-len("Z07:00")]
+		hh := 10*(b[len(b)-len("07:00")]-'0') + (b[len(b)-len("7:00")] - '0')
+		if ('0' <= c && c <= '9') || hh >= 24 {
+			return b, errors.New("Time.MarshalJSON: timezone hour outside of range [0,23]")
+		}
+	}
+	return append(b, '"'), nil
+}
+
+// appendJSONStrings appends ss as a JSON array of strings, or null for
+// a nil slice.
+func appendJSONStrings(b []byte, ss []string) []byte {
+	if ss == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, s)
+	}
+	return append(b, ']')
+}
+
+// jsonSafe marks the ASCII bytes encoding/json copies into a string
+// verbatim under its default HTML escaping.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		safe[c] = true
+	}
+	for _, c := range `"\<>&` {
+		safe[c] = false
+	}
+	return safe
+}()
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a quoted JSON string, escaped exactly
+// as encoding/json does by default: quote and backslash, control bytes
+// (\b \f \n \r \t by name, the rest as \u00XX), the HTML-significant
+// < > &, invalid UTF-8 (as \ufffd) and U+2028/U+2029.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if jsonSafe[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"icewafl/internal/core"
 	"icewafl/internal/stream"
 )
 
@@ -78,6 +79,68 @@ func TestSchemaDocumentRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeFixture returns a tuple, a 256-row batch of such tuples and a
+// log entry, the payloads of the three data frame types.
+func encodeFixture(tb testing.TB) (stream.Tuple, *stream.ColumnBatch, *core.Entry) {
+	tb.Helper()
+	schema := stream.MustSchema("ts",
+		stream.Field{Name: "ts", Kind: stream.KindTime},
+		stream.Field{Name: "v", Kind: stream.KindFloat},
+		stream.Field{Name: "sensor", Kind: stream.KindString},
+	)
+	base := time.Date(2021, 6, 1, 12, 0, 0, 987654321, time.UTC)
+	row := func(i int) stream.Tuple {
+		tu := stream.NewTuple(schema, []stream.Value{
+			stream.Time(base.Add(time.Duration(i) * time.Second)),
+			stream.Float(float64(i) * 1.37),
+			stream.Str("sensor-<7>"),
+		})
+		tu.ID = uint64(i + 1)
+		tu.SubStream = i % 3
+		tu.EventTime = base.Add(time.Duration(i) * time.Second)
+		tu.Arrival = tu.EventTime.Add(time.Millisecond)
+		return tu
+	}
+	batch := stream.NewColumnBatch(schema, 256)
+	for i := 0; i < 256; i++ {
+		if err := batch.AppendTuple(row(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	entry := &core.Entry{TupleID: 9, SubStream: 1, EventTime: base.In(time.FixedZone("CEST", 7200)),
+		Polluter: "gaussian-noise", Error: "noise", Attrs: []string{"v", "sensor"}}
+	return row(1), batch, entry
+}
+
+// TestEncodeFrameAllocs is the allocation ratchet of the frame encoder:
+// a tuple frame rendered from its stream.Tuple, a 256-row colbatch
+// frame and a log frame each cost one allocation — the returned slice.
+func TestEncodeFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tu, batch, entry := encodeFixture(t)
+	for _, tc := range []struct {
+		name string
+		f    *Frame
+	}{
+		{"tuple", &Frame{Type: FrameTuple, Channel: ChannelDirty, Seq: 5, row: &tu}},
+		{"colbatch", &Frame{Type: FrameColBatch, Channel: ChannelDirty, Seq: 6, rows: batch}},
+		{"log", &Frame{Type: FrameLog, Channel: ChannelLog, Seq: 7, Entry: entry}},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			_, err = EncodeFrame(tc.f)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if allocs > 1 {
+			t.Errorf("%s frame: %.1f allocs per encode, want <= 1", tc.name, allocs)
+		}
+	}
+}
+
 // TestFrameIO round-trips length-prefixed frames and enforces the size
 // limit in both directions.
 func TestFrameIO(t *testing.T) {
@@ -133,5 +196,32 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("expected error for unknown policy")
+	}
+}
+
+// encodeSink keeps BenchmarkEncodeFrame's result alive.
+var encodeSink []byte
+
+// BenchmarkEncodeFrame times EncodeFrame per data frame type; the
+// colbatch frame carries 256 rows.
+func BenchmarkEncodeFrame(b *testing.B) {
+	tu, batch, entry := encodeFixture(b)
+	for _, bc := range []struct {
+		name string
+		f    *Frame
+	}{
+		{"tuple", &Frame{Type: FrameTuple, Channel: ChannelDirty, Seq: 5, row: &tu}},
+		{"colbatch", &Frame{Type: FrameColBatch, Channel: ChannelDirty, Seq: 6, rows: batch}},
+		{"log", &Frame{Type: FrameLog, Channel: ChannelLog, Seq: 7, Entry: entry}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if encodeSink, err = EncodeFrame(bc.f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

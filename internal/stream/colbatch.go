@@ -231,10 +231,14 @@ func (c *batchColumn) value(row int) Value {
 
 // AppendTuple appends one row copied from t. The tuple's schema must
 // match the batch schema (same width; the caller guarantees field
-// compatibility, as everywhere else in the engine).
+// compatibility, as everywhere else in the engine). A sub-stream the
+// batch's int32 column cannot hold is rejected rather than truncated.
 func (b *ColumnBatch) AppendTuple(t Tuple) error {
 	if t.Len() != b.schema.Len() {
 		return fmt.Errorf("stream: column batch of width %d cannot hold tuple of width %d", b.schema.Len(), t.Len())
+	}
+	if t.SubStream != int(int32(t.SubStream)) {
+		return fmt.Errorf("stream: column batch cannot hold sub-stream %d of tuple %d", t.SubStream, t.ID)
 	}
 	row := b.n
 	b.ids = append(b.ids, t.ID)

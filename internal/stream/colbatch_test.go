@@ -131,3 +131,16 @@ func TestColumnBatchWidthMismatch(t *testing.T) {
 		t.Fatal("width mismatch not rejected")
 	}
 }
+
+func TestColumnBatchSubStreamOutOfRange(t *testing.T) {
+	schema, tuples := colBatchStream(2)
+	b := NewColumnBatch(schema, 2)
+	tuples[0].SubStream = 1 << 31
+	if err := b.AppendTuple(tuples[0]); err == nil {
+		t.Fatal("sub-stream beyond int32 not rejected")
+	}
+	tuples[1].SubStream = -1 << 31
+	if err := b.AppendTuple(tuples[1]); err != nil || b.Len() != 1 || b.SubStreams()[0] != -1<<31 {
+		t.Fatalf("int32 minimum sub-stream: err %v, len %d", err, b.Len())
+	}
+}

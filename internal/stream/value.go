@@ -271,6 +271,26 @@ func (v Value) String() string {
 	return fmt.Sprintf("Value(kind=%d)", int(v.kind))
 }
 
+// Append appends the String rendering of v to dst without allocating an
+// intermediate string, for encoders that write straight into a buffer.
+func (v Value) Append(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return dst
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindString:
+		return append(dst, v.s...)
+	case KindBool:
+		return strconv.AppendBool(dst, v.b)
+	case KindTime:
+		return v.t.UTC().AppendFormat(dst, time.RFC3339)
+	}
+	return fmt.Appendf(dst, "Value(kind=%d)", int(v.kind))
+}
+
 // ParseValue parses the textual representation produced by String back
 // into a Value of the requested kind. The empty string parses as NULL for
 // every kind, matching how missing values appear in CSV files.

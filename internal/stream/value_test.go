@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -140,6 +141,22 @@ func TestValueStringParseRoundTrip(t *testing.T) {
 	propInt := func(i int64) bool { return roundTrip(Int(i)) }
 	if err := quick.Check(propInt, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueAppendMatchesString pins Append to String's rendering for
+// every kind, including the float edge cases.
+func TestValueAppendMatchesString(t *testing.T) {
+	ts := time.Date(2016, 2, 27, 13, 30, 0, 5, time.FixedZone("X", 3600))
+	vals := []Value{
+		Null(), Float(3.25), Float(math.Inf(-1)), Float(math.NaN()), Float(math.Copysign(0, -1)),
+		Float(math.MaxFloat64), Float(math.SmallestNonzeroFloat64), Int(math.MinInt64),
+		Str(""), Str("a\"b<c>"), Bool(false), Bool(true), Time(ts), {kind: Kind(99)},
+	}
+	for _, v := range vals {
+		if got, want := string(v.Append([]byte("p:"))), "p:"+v.String(); got != want {
+			t.Errorf("Append(%v) = %q, want %q", v.Kind(), got, want)
+		}
 	}
 }
 
