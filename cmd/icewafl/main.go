@@ -480,9 +480,9 @@ type resumableSink interface {
 }
 
 // runCheckpointed executes the checkpointed streaming path. Every
-// opt.interval emitted tuples it flushes the output and log files,
-// snapshots the pipeline state, and atomically rewrites the checkpoint
-// file. With opt.resume the previous run's files are truncated to the
+// opt.interval emitted tuples it flushes and fsyncs the output and log
+// files, snapshots the pipeline state, and atomically rewrites the
+// checkpoint file. With opt.resume the previous run's files are truncated to the
 // checkpointed offsets and the run continues exactly where the snapshot
 // was taken.
 func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Schema, opt checkpointedRun) {
@@ -524,8 +524,15 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 	}
 
 	flushedLog := 0 // entries of this session's log already on disk
+	// capture makes every row and log entry emitted so far durable, then
+	// records the file offsets they end at in a fresh checkpoint. The
+	// Syncs come first: an offset must never point past what a power
+	// loss leaves on disk.
 	capture := func() error {
 		if err := sink.Flush(); err != nil {
+			return err
+		}
+		if err := outF.Sync(); err != nil {
 			return err
 		}
 		c, err := ck.Capture()
@@ -538,11 +545,11 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 		}
 		c.Offsets["out_bytes"] = outOff
 		if logF != nil && plog != nil {
-			enc := json.NewEncoder(logF)
-			for i := flushedLog; i < len(plog.Entries); i++ {
-				if err := enc.Encode(&plog.Entries[i]); err != nil {
-					return err
-				}
+			if err := plog.WriteJSONFrom(logF, flushedLog); err != nil {
+				return err
+			}
+			if err := logF.Sync(); err != nil {
+				return err
 			}
 			flushedLog = len(plog.Entries)
 			logOff, err := logF.Seek(0, io.SeekCurrent)
@@ -599,7 +606,9 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 
 // openResumable opens path for appending output. On resume the file is
 // truncated to the checkpointed offset first, discarding rows written
-// after the snapshot; otherwise a fresh file is created.
+// after the snapshot; otherwise a fresh file is created. A file shorter
+// than its checkpointed offset lost data the checkpoint vouches for, so
+// resuming it is refused rather than padded out.
 func openResumable(path string, resume bool, ckpt *core.Checkpoint, offsetKey string) *os.File {
 	if !resume {
 		f, err := os.Create(path)
@@ -615,6 +624,15 @@ func openResumable(path string, resume bool, ckpt *core.Checkpoint, offsetKey st
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		log.Fatal(err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		log.Fatal(err)
+	}
+	if fi.Size() < off {
+		f.Close()
+		log.Fatalf("cannot resume: %s is %d bytes, shorter than its checkpointed offset %d; the file lost data the checkpoint covers", path, fi.Size(), off)
 	}
 	if err := f.Truncate(off); err != nil {
 		f.Close()

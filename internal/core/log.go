@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
+	"icewafl/internal/jsonenc"
 	"icewafl/internal/obs"
 )
 
@@ -147,17 +150,62 @@ func (l *Log) Merge(other *Log, subStream int) {
 	}
 }
 
-// WriteJSON serialises the log as JSON lines, one entry per line, so that
-// huge logs stream to disk without buffering.
-func (l *Log) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for i := range l.Entries {
-		if err := enc.Encode(&l.Entries[i]); err != nil {
+// AppendJSON appends e as one JSON object, byte-identical to what
+// encoding/json's Marshal produces for an Entry. It is the one encoder
+// of log entries: WriteJSON, the checkpointed CLI and the wire's log
+// frames all render through it. Like Marshal, it fails when the event
+// time has no RFC 3339 form.
+func (e *Entry) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"tuple_id":`...)
+	b = strconv.AppendUint(b, e.TupleID, 10)
+	b = append(b, `,"sub_stream":`...)
+	b = strconv.AppendInt(b, int64(e.SubStream), 10)
+	b, err := jsonenc.AppendTime(append(b, `,"event_time":`...), e.EventTime)
+	if err != nil {
+		return b, fmt.Errorf("core: encode log entry of tuple %d: %w", e.TupleID, err)
+	}
+	b = jsonenc.AppendString(append(b, `,"polluter":`...), e.Polluter)
+	b = jsonenc.AppendString(append(b, `,"error":`...), e.Error)
+	if len(e.Attrs) > 0 {
+		b = jsonenc.AppendStrings(append(b, `,"attrs":`...), e.Attrs)
+	}
+	return append(b, '}'), nil
+}
+
+// WriteJSON serialises the log as JSON lines, one entry per line, so
+// that huge logs stream to disk through a fixed-size buffer. The bytes
+// are those of a json.Encoder encoding each entry in turn; entries
+// before a failing one are written.
+func (l *Log) WriteJSON(w io.Writer) error { return l.WriteJSONFrom(w, 0) }
+
+// WriteJSONFrom writes the entries from index from on, as WriteJSON
+// does. A checkpointed run appends each checkpoint's new entries with
+// it.
+func (l *Log) WriteJSONFrom(w io.Writer, from int) error {
+	bw := bufio.NewWriterSize(w, writeBufferSize)
+	var line []byte
+	for i := from; i < len(l.Entries); i++ {
+		var err error
+		if line, err = l.Entries[i].AppendJSON(line[:0]); err != nil {
+			if ferr := bw.Flush(); ferr != nil {
+				return fmt.Errorf("core: write log: %w", ferr)
+			}
+			return fmt.Errorf("core: write log entry %d: %w", i, err)
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("core: write log entry %d: %w", i, err)
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("core: write log: %w", err)
+	}
 	return nil
 }
+
+// writeBufferSize is WriteJSON's output buffer: large enough that a
+// log of typical entries costs one write call per few hundred entries.
+const writeBufferSize = 64 << 10
 
 // ReadLogJSON parses a JSON-lines log written by WriteJSON.
 func ReadLogJSON(r io.Reader) (*Log, error) {

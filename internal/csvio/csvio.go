@@ -5,9 +5,13 @@
 package csvio
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"icewafl/internal/stream"
 )
@@ -77,35 +81,32 @@ func (r *Reader) Next() (stream.Tuple, error) {
 // Writer is a stream.Sink encoding tuples as CSV rows.
 type Writer struct {
 	schema *stream.Schema
-	csv    *csv.Writer
-	wrote  bool
+	rows   rowWriter
 }
 
 // NewWriter wraps w. The header row is written lazily with the first
 // tuple (or at Close for empty streams).
 func NewWriter(w io.Writer, schema *stream.Schema) *Writer {
-	return &Writer{schema: schema, csv: csv.NewWriter(w)}
+	return &Writer{schema: schema, rows: newRowWriter(w)}
 }
 
 func (w *Writer) writeHeader() error {
-	if w.wrote {
+	if w.rows.wrote {
 		return nil
 	}
-	w.wrote = true
-	return w.csv.Write(w.schema.Names())
+	return w.rows.header(w.schema.Names())
 }
 
 // OmitHeader marks the header as already written. Checkpoint resume uses
 // it when appending to an output file whose header row survives from the
 // interrupted run.
-func (w *Writer) OmitHeader() { w.wrote = true }
+func (w *Writer) OmitHeader() { w.rows.wrote = true }
 
 // Flush pushes buffered rows to the underlying writer. Checkpointing
 // calls it before recording a file offset so the offset reflects every
 // row written so far.
 func (w *Writer) Flush() error {
-	w.csv.Flush()
-	if err := w.csv.Error(); err != nil {
+	if err := w.rows.w.Flush(); err != nil {
 		return fmt.Errorf("csvio: flush: %w", err)
 	}
 	return nil
@@ -116,11 +117,14 @@ func (w *Writer) Write(t stream.Tuple) error {
 	if err := w.writeHeader(); err != nil {
 		return fmt.Errorf("csvio: write header: %w", err)
 	}
-	rec := make([]string, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		rec[i] = t.At(i).String()
+	b := w.rows.row[:0]
+	for i, v := range t.Values() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCell(b, v)
 	}
-	if err := w.csv.Write(rec); err != nil {
+	if err := w.rows.emit(b); err != nil {
 		return fmt.Errorf("csvio: write row: %w", err)
 	}
 	return nil
@@ -131,11 +135,98 @@ func (w *Writer) Close() error {
 	if err := w.writeHeader(); err != nil {
 		return err
 	}
-	w.csv.Flush()
-	if err := w.csv.Error(); err != nil {
-		return fmt.Errorf("csvio: flush: %w", err)
+	return w.Flush()
+}
+
+// rowWriter is the CSV encoder Writer and MetaWriter share. Each row
+// is rendered into one reused buffer — cells straight from their
+// values, with no per-cell strings — and handed to a bufio.Writer. The
+// bytes are exactly those of an encoding/csv Writer with its defaults
+// (Comma ',', UseCRLF false) writing each cell's Value.String;
+// FuzzCSVWrite holds the two side by side.
+type rowWriter struct {
+	w     *bufio.Writer
+	row   []byte
+	wrote bool // header row written, or suppressed by OmitHeader
+}
+
+// writeBufferSize is the output buffer of a rowWriter.
+const writeBufferSize = 64 << 10
+
+func newRowWriter(w io.Writer) rowWriter {
+	return rowWriter{w: bufio.NewWriterSize(w, writeBufferSize)}
+}
+
+// header writes names as the header row.
+func (rw *rowWriter) header(names []string) error {
+	rw.wrote = true
+	b := rw.row[:0]
+	for i, name := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendField(b, name)
 	}
-	return nil
+	return rw.emit(b)
+}
+
+// emit terminates the row rendered in b, keeps b as the buffer for the
+// next row and writes it out.
+func (rw *rowWriter) emit(b []byte) error {
+	rw.row = append(b, '\n')
+	_, err := rw.w.Write(rw.row)
+	return err
+}
+
+// appendCell appends v's Value.String rendering as one field. Only
+// string values can need quoting: every other kind renders as digits,
+// signs, letters, '.', ':' and '-', and NULL as the empty field.
+func appendCell(b []byte, v stream.Value) []byte {
+	if s, ok := v.AsString(); ok {
+		return appendField(b, s)
+	}
+	return v.Append(b)
+}
+
+// appendField appends s as one field, quoted exactly when encoding/csv
+// quotes it. Inside quotes a '"' is doubled; '\r' and '\n' are copied
+// verbatim.
+func appendField(b []byte, s string) []byte {
+	if !fieldNeedsQuotes(s) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, '"')
+		s = s[i+1:]
+	}
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// fieldNeedsQuotes is encoding/csv's quoting rule for Comma ',': the
+// empty field never, the end-of-data marker \. always, otherwise a
+// field holding ',', '"', '\r' or '\n' or starting with a space rune.
+func fieldNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // WriteAll writes tuples to w as CSV in one call.

@@ -35,14 +35,13 @@ const arrivalTime = time.RFC3339Nano
 // MetaWriter encodes tuples with their identity metadata.
 type MetaWriter struct {
 	schema  *stream.Schema
-	csv     *csv.Writer
-	wrote   bool
+	rows    rowWriter
 	arrival bool
 }
 
 // NewMetaWriter wraps w.
 func NewMetaWriter(w io.Writer, schema *stream.Schema) *MetaWriter {
-	return &MetaWriter{schema: schema, csv: csv.NewWriter(w)}
+	return &MetaWriter{schema: schema, rows: newRowWriter(w)}
 }
 
 // IncludeArrival adds the `_arrival` column so delayed arrivals survive
@@ -50,25 +49,23 @@ func NewMetaWriter(w io.Writer, schema *stream.Schema) *MetaWriter {
 func (w *MetaWriter) IncludeArrival() { w.arrival = true }
 
 func (w *MetaWriter) writeHeader() error {
-	if w.wrote {
+	if w.rows.wrote {
 		return nil
 	}
-	w.wrote = true
 	header := append([]string{}, MetaColumns...)
 	if w.arrival {
 		header = append(header, ArrivalColumn)
 	}
 	header = append(header, w.schema.Names()...)
-	return w.csv.Write(header)
+	return w.rows.header(header)
 }
 
 // OmitHeader marks the header as already written (checkpoint resume).
-func (w *MetaWriter) OmitHeader() { w.wrote = true }
+func (w *MetaWriter) OmitHeader() { w.rows.wrote = true }
 
 // Flush pushes buffered rows to the underlying writer.
 func (w *MetaWriter) Flush() error {
-	w.csv.Flush()
-	if err := w.csv.Error(); err != nil {
+	if err := w.rows.w.Flush(); err != nil {
 		return fmt.Errorf("csvio: flush meta: %w", err)
 	}
 	return nil
@@ -79,18 +76,17 @@ func (w *MetaWriter) Write(t stream.Tuple) error {
 	if err := w.writeHeader(); err != nil {
 		return fmt.Errorf("csvio: write meta header: %w", err)
 	}
-	rec := make([]string, 0, t.Len()+3)
-	rec = append(rec,
-		strconv.FormatUint(t.ID, 10),
-		strconv.Itoa(t.SubStream),
-	)
+	b := strconv.AppendUint(w.rows.row[:0], t.ID, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(t.SubStream), 10)
 	if w.arrival {
-		rec = append(rec, t.Arrival.UTC().Format(arrivalTime))
+		b = append(b, ',')
+		b = t.Arrival.UTC().AppendFormat(b, arrivalTime)
 	}
-	for i := 0; i < t.Len(); i++ {
-		rec = append(rec, t.At(i).String())
+	for _, v := range t.Values() {
+		b = appendCell(append(b, ','), v)
 	}
-	if err := w.csv.Write(rec); err != nil {
+	if err := w.rows.emit(b); err != nil {
 		return fmt.Errorf("csvio: write meta row: %w", err)
 	}
 	return nil
@@ -101,11 +97,7 @@ func (w *MetaWriter) Close() error {
 	if err := w.writeHeader(); err != nil {
 		return err
 	}
-	w.csv.Flush()
-	if err := w.csv.Error(); err != nil {
-		return fmt.Errorf("csvio: flush meta: %w", err)
-	}
-	return nil
+	return w.Flush()
 }
 
 // MetaReader decodes the metadata format back into tuples with ID and

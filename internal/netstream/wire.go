@@ -21,15 +21,14 @@ package netstream
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"icewafl/internal/core"
+	"icewafl/internal/jsonenc"
 	"icewafl/internal/schemafile"
 	"icewafl/internal/stream"
 )
@@ -395,10 +394,10 @@ const maxPooledScratch = 256 << 10
 // declaration order with encoding/json's omitempty rules.
 func appendFrame(b []byte, f *Frame) ([]byte, error) {
 	b = append(b, `{"type":`...)
-	b = appendJSONString(b, f.Type)
+	b = jsonenc.AppendString(b, f.Type)
 	if f.Channel != "" {
 		b = append(b, `,"channel":`...)
-		b = appendJSONString(b, f.Channel)
+		b = jsonenc.AppendString(b, f.Channel)
 	}
 	if f.Seq != 0 {
 		b = append(b, `,"seq":`...)
@@ -406,7 +405,7 @@ func appendFrame(b []byte, f *Frame) ([]byte, error) {
 	}
 	if f.Schema != nil {
 		b = append(b, `,"schema":{"timestamp":`...)
-		b = appendJSONString(b, f.Schema.Timestamp)
+		b = jsonenc.AppendString(b, f.Schema.Timestamp)
 		b = append(b, `,"fields":`...)
 		if f.Schema.Fields == nil {
 			b = append(b, "null"...)
@@ -417,9 +416,9 @@ func appendFrame(b []byte, f *Frame) ([]byte, error) {
 					b = append(b, ',')
 				}
 				b = append(b, `{"name":`...)
-				b = appendJSONString(b, fd.Name)
+				b = jsonenc.AppendString(b, fd.Name)
 				b = append(b, `,"kind":`...)
-				b = appendJSONString(b, fd.Kind)
+				b = jsonenc.AppendString(b, fd.Kind)
 				b = append(b, '}')
 			}
 			b = append(b, ']')
@@ -440,13 +439,13 @@ func appendFrame(b []byte, f *Frame) ([]byte, error) {
 	}
 	if f.Entry != nil {
 		var err error
-		if b, err = appendEntry(append(b, `,"entry":`...), f.Entry); err != nil {
+		if b, err = f.Entry.AppendJSON(append(b, `,"entry":`...)); err != nil {
 			return b, err
 		}
 	}
 	if f.Error != "" {
 		b = append(b, `,"error":`...)
-		b = appendJSONString(b, f.Error)
+		b = jsonenc.AppendString(b, f.Error)
 	}
 	if f.Gap != nil {
 		b = append(b, `,"gap":{"requested":`...)
@@ -457,9 +456,9 @@ func appendFrame(b []byte, f *Frame) ([]byte, error) {
 	}
 	if f.Quota != nil {
 		b = append(b, `,"quota":{"tenant":`...)
-		b = appendJSONString(b, f.Quota.Tenant)
+		b = jsonenc.AppendString(b, f.Quota.Tenant)
 		b = append(b, `,"resource":`...)
-		b = appendJSONString(b, f.Quota.Resource)
+		b = jsonenc.AppendString(b, f.Quota.Resource)
 		b = append(b, `,"limit":`...)
 		b = strconv.AppendUint(b, f.Quota.Limit, 10)
 		b = append(b, `,"used":`...)
@@ -499,9 +498,9 @@ func appendWireTuple(b []byte, wt *WireTuple) []byte {
 		b = append(b, `,"sub":`...)
 		b = strconv.AppendInt(b, int64(wt.Sub), 10)
 	}
-	b = appendJSONString(append(b, `,"event":`...), wt.Event)
-	b = appendJSONString(append(b, `,"arrival":`...), wt.Arrival)
-	b = appendJSONStrings(append(b, `,"values":`...), wt.Values)
+	b = jsonenc.AppendString(append(b, `,"event":`...), wt.Event)
+	b = jsonenc.AppendString(append(b, `,"arrival":`...), wt.Arrival)
+	b = jsonenc.AppendStrings(append(b, `,"values":`...), wt.Values)
 	return append(b, '}')
 }
 
@@ -599,8 +598,8 @@ func appendWireColumnBatch(b []byte, wb *WireColumnBatch) []byte {
 		}
 		b = append(b, ']')
 	}
-	b = appendJSONStrings(append(b, `,"events":`...), wb.Events)
-	b = appendJSONStrings(append(b, `,"arrivals":`...), wb.Arrivals)
+	b = jsonenc.AppendStrings(append(b, `,"events":`...), wb.Events)
+	b = jsonenc.AppendStrings(append(b, `,"arrivals":`...), wb.Arrivals)
 	b = append(b, `,"columns":`...)
 	if wb.Columns == nil {
 		b = append(b, "null"...)
@@ -610,30 +609,11 @@ func appendWireColumnBatch(b []byte, wb *WireColumnBatch) []byte {
 			if c > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONStrings(b, col)
+			b = jsonenc.AppendStrings(b, col)
 		}
 		b = append(b, ']')
 	}
 	return append(b, '}')
-}
-
-// appendEntry appends a pollution-log entry as encoding/json renders
-// core.Entry.
-func appendEntry(b []byte, e *core.Entry) ([]byte, error) {
-	b = append(b, `{"tuple_id":`...)
-	b = strconv.AppendUint(b, e.TupleID, 10)
-	b = append(b, `,"sub_stream":`...)
-	b = strconv.AppendInt(b, int64(e.SubStream), 10)
-	b, err := appendJSONTime(append(b, `,"event_time":`...), e.EventTime)
-	if err != nil {
-		return b, fmt.Errorf("netstream: encode log entry of tuple %d: %w", e.TupleID, err)
-	}
-	b = appendJSONString(append(b, `,"polluter":`...), e.Polluter)
-	b = appendJSONString(append(b, `,"error":`...), e.Error)
-	if len(e.Attrs) > 0 {
-		b = appendJSONStrings(append(b, `,"attrs":`...), e.Attrs)
-	}
-	return append(b, '}'), nil
 }
 
 // appendCell appends one attribute value as the JSON string of its
@@ -642,7 +622,7 @@ func appendEntry(b []byte, e *core.Entry) ([]byte, error) {
 // letters and punctuation.
 func appendCell(b []byte, v *stream.Value) []byte {
 	if s, ok := v.AsString(); ok {
-		return appendJSONString(b, s)
+		return jsonenc.AppendString(b, s)
 	}
 	b = append(b, '"')
 	b = v.Append(b)
@@ -654,108 +634,5 @@ func appendCell(b []byte, v *stream.Value) []byte {
 func appendWireTime(b []byte, t time.Time) []byte {
 	b = append(b, '"')
 	b = t.UTC().AppendFormat(b, wireTime)
-	return append(b, '"')
-}
-
-// appendJSONTime appends t exactly as time.Time.MarshalJSON renders it:
-// quoted RFC 3339 with nanoseconds in t's own zone. Like MarshalJSON it
-// fails when the year or the zone offset has no RFC 3339 form.
-func appendJSONTime(b []byte, t time.Time) ([]byte, error) {
-	b = append(b, '"')
-	n0 := len(b)
-	b = t.AppendFormat(b, time.RFC3339Nano)
-	switch {
-	case b[n0+len("9999")] != '-':
-		return b, errors.New("Time.MarshalJSON: year outside of range [0,9999]")
-	case b[len(b)-1] != 'Z':
-		c := b[len(b)-len("Z07:00")]
-		hh := 10*(b[len(b)-len("07:00")]-'0') + (b[len(b)-len("7:00")] - '0')
-		if ('0' <= c && c <= '9') || hh >= 24 {
-			return b, errors.New("Time.MarshalJSON: timezone hour outside of range [0,23]")
-		}
-	}
-	return append(b, '"'), nil
-}
-
-// appendJSONStrings appends ss as a JSON array of strings, or null for
-// a nil slice.
-func appendJSONStrings(b []byte, ss []string) []byte {
-	if ss == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, s := range ss {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, s)
-	}
-	return append(b, ']')
-}
-
-// jsonSafe marks the ASCII bytes encoding/json copies into a string
-// verbatim under its default HTML escaping.
-var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		safe[c] = true
-	}
-	for _, c := range `"\<>&` {
-		safe[c] = false
-	}
-	return safe
-}()
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a quoted JSON string, escaped exactly
-// as encoding/json does by default: quote and backslash, control bytes
-// (\b \f \n \r \t by name, the rest as \u00XX), the HTML-significant
-// < > &, invalid UTF-8 (as \ufffd) and U+2028/U+2029.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
 	return append(b, '"')
 }
