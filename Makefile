@@ -125,15 +125,17 @@ perfgate:
 		-scaling-bench '$(SCALING_BENCH)' -scaling-floor $(SCALING_FLOOR) -scaling-min $(SCALING_MIN)
 
 # Short fuzz pass over every fuzz target (value parsing, the quarantine
-# of malformed tuples, the CSV writers against encoding/csv, the metrics
-# codec round-trips, the WAL and colbatch codecs, and the frame encoder
-# against encoding/json). Extend FUZZTIME for deeper runs.
+# of malformed tuples, the CSV column reader and writers against
+# encoding/csv, the metrics codec round-trips, the WAL and colbatch
+# codecs, and the frame encoder against encoding/json). Extend FUZZTIME
+# for deeper runs.
 FUZZTIME ?= 15s
 
 fuzz:
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzParseValue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzQuarantine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzCSVWrite -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzColumnReader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzPrometheusExposition -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzMetricsJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dq/ -run '^$$' -fuzz FuzzSuiteJSON -fuzztime $(FUZZTIME)

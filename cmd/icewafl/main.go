@@ -397,7 +397,8 @@ func writeDeadLetters(path string, letters []stream.DeadLetter) error {
 // path in arena mode, which is safe because the sinks below never hold
 // a tuple across Next calls. With columnar the pollution hot path runs
 // on the columnar engine (batch kernels over column batches), emitting
-// a stream byte-identical to the tuple-wise runner.
+// a stream byte-identical to the tuple-wise runner; for the same reason
+// it emits loaned tuples whose buffers recycle through a TuplePool.
 func runStreaming(proc *core.Process, reader stream.Source, schema *stream.Schema, outPath, logOut, deadOut string, meta, columnar bool, reorder int, sharding core.ShardConfig) {
 	var (
 		src  stream.Source
@@ -408,6 +409,9 @@ func runStreaming(proc *core.Process, reader stream.Source, schema *stream.Schem
 	case sharding.Shards > 1:
 		src, plog, err = proc.RunStreamSharded(reader, reorder, sharding)
 	case columnar:
+		// The pool's gauges stay unregistered: -metrics reports the
+		// same series with or without it.
+		proc.Columnar.Pool = stream.NewTuplePoolFor(schema)
 		src, plog, err = proc.RunStreamColumnar(reader, reorder)
 	default:
 		src, plog, err = proc.RunStreamMulti(reader, reorder)

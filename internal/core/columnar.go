@@ -45,12 +45,15 @@ type ColumnarOptions struct {
 	// Batch is the micro-batch size in rows (default
 	// DefaultColumnarBatch).
 	Batch int
-	// Pool, when set with a reorder window <= 1, lets the runner emit
-	// loaned tuples: the buffer of the previously emitted tuple is
-	// recycled on the following Next call, so steady-state emission
-	// allocates nothing. Consumers must not retain emitted tuples
-	// across pulls (Drain must clone; see stream.FromColumnBatches for
-	// the same contract).
+	// Pool, when set, makes Next emit loaned tuples whose value
+	// buffers come from the pool, so steady-state emission allocates
+	// nothing. Each buffer returns to the pool once the consumer pulls
+	// the next tuple: with a reorder window <= 1 the runner releases it
+	// itself; with a larger window the runner is wrapped as
+	// stream.Recycle(window, Pool), so a tuple held back in the window
+	// keeps its buffer until it is emitted. Consumers must not retain
+	// emitted tuples across pulls (Drain must clone; see
+	// stream.FromColumnBatches for the same contract).
 	Pool *stream.TuplePool
 }
 
@@ -281,7 +284,14 @@ func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stre
 		runner.tsIdx = schema.TimestampIndex()
 	}
 	if reorderWindow > 1 {
-		return stream.NewBoundedReorder(runner, reorderWindow), log, nil
+		window := stream.NewBoundedReorder(runner, reorderWindow)
+		if runner.pool != nil {
+			// Per-tuple ownership: a buffer goes back to the pool when
+			// the consumer moves past the tuple that owns it, however
+			// long the window held that tuple.
+			return stream.Recycle(window, runner.pool), log, nil
+		}
+		return window, log, nil
 	}
 	return runner, log, nil
 }
@@ -310,8 +320,8 @@ type columnarRunner struct {
 	all       stream.Selection
 	rowBuf    []stream.Value
 
-	pool *stream.TuplePool
-	loan bool
+	pool *stream.TuplePool // value buffers of emitted tuples, if set
+	loan bool              // release the previous tuple on the next pull (no window)
 	prev stream.Tuple
 	held bool
 
@@ -346,7 +356,7 @@ func (r *columnarRunner) Next() (stream.Tuple, error) {
 				continue
 			}
 			var buf []stream.Value
-			if r.loan {
+			if r.pool != nil {
 				buf = r.pool.Get()
 			}
 			t := r.batch.RowInto(buf, row)

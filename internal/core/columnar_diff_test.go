@@ -624,25 +624,54 @@ func TestColumnarDiffMidStreamTupleError(t *testing.T) {
 	}
 }
 
-// Pool-loan emission must produce the same stream as fresh-buffer
-// emission (consumer clones, per the loan contract).
+// Pooled emission must produce the same stream as the tuple-wise
+// runner: at reorder 1 the runner releases each buffer itself; behind a
+// reorder window the buffers recycle through stream.Recycle, and the
+// pipeline's delays and holds make the window really reorder. runOne
+// renders each tuple before pulling the next, per the loan contract.
 func TestColumnarDiffPooledEmission(t *testing.T) {
 	seed := int64(55)
-	build := func(pool *stream.TuplePool) (*Process, stream.Source) {
-		proc := &Process{Pipelines: []*Pipeline{vectorisedPipeline(seed)}}
-		proc.Columnar.Pool = pool
-		return proc, diffSource(diffSchema(), seed, 150)
-	}
-	want := runOne(t, func() (*Process, stream.Source) { return build(nil) }, true, 1)
-	got := runOne(t, func() (*Process, stream.Source) {
-		return build(stream.NewTuplePoolFor(diffSchema()))
-	}, true, 1)
-	if len(got.tuples) != len(want.tuples) {
-		t.Fatalf("pooled emitted %d tuples, fresh emitted %d", len(got.tuples), len(want.tuples))
-	}
-	for i := range want.tuples {
-		if got.tuples[i] != want.tuples[i] {
-			t.Fatalf("tuple %d diverged under pool loan\npooled: %s\nfresh:  %s", i, got.tuples[i], want.tuples[i])
+	for _, reorder := range []int{1, 8, 64} {
+		pool := stream.NewTuplePoolFor(diffSchema())
+		build := func(pool *stream.TuplePool) func() (*Process, stream.Source) {
+			return func() (*Process, stream.Source) {
+				proc := &Process{Pipelines: []*Pipeline{vectorisedPipeline(seed)}}
+				proc.Columnar.Pool = pool
+				return proc, diffSource(diffSchema(), seed, 600)
+			}
+		}
+		want := runOne(t, build(nil), false, reorder)
+		got := runOne(t, build(pool), true, reorder)
+		if len(got.tuples) != len(want.tuples) {
+			t.Fatalf("reorder %d: pooled emitted %d tuples, tuple-wise %d", reorder, len(got.tuples), len(want.tuples))
+		}
+		inversions := 0
+		var prev uint64
+		for i := range want.tuples {
+			if got.tuples[i] != want.tuples[i] {
+				t.Fatalf("reorder %d: tuple %d diverged under pool loan\npooled:     %s\ntuple-wise: %s", reorder, i, got.tuples[i], want.tuples[i])
+			}
+			var id uint64
+			if _, err := fmt.Sscanf(got.tuples[i], "id=%d", &id); err != nil {
+				t.Fatal(err)
+			}
+			if id < prev {
+				inversions++
+			}
+			prev = id
+		}
+		if strings.Join(got.entries, "\n") != strings.Join(want.entries, "\n") {
+			t.Fatalf("reorder %d: pooled log diverged from tuple-wise", reorder)
+		}
+		if reorder > 1 && inversions == 0 {
+			t.Fatalf("reorder %d: the window never reordered; the test pipeline must delay tuples", reorder)
+		}
+		// The pool was used, every buffer is back once the stream ended,
+		// and no more were made than the window plus the one loaned tuple
+		// and the one being filled can hold.
+		_, made := pool.Stats()
+		if idle := pool.Idle(); made == 0 || uint64(idle) != made || made > uint64(reorder)+2 {
+			t.Fatalf("reorder %d: pool made %d buffers, %d returned", reorder, made, idle)
 		}
 	}
 }

@@ -245,7 +245,7 @@ func TestServerColumnarReorderFallback(t *testing.T) {
 
 	cfg := columnarConfig(t, seed, n, batch)
 	cfg.Reorder = 8
-	_, tcpAddr, _ := startServer(t, cfg)
+	srv, tcpAddr, _ := startServer(t, cfg)
 
 	dirtyC, err := Dial(tcpAddr, ChannelDirty)
 	if err != nil {
@@ -258,6 +258,21 @@ func TestServerColumnarReorderFallback(t *testing.T) {
 		if ft != FrameColBatch && ft != FrameEOF {
 			t.Fatalf("frame %d has type %q, want colbatch frames under reorder too", i, ft)
 		}
+	}
+
+	// The drain runs on pooled emission: a window's worth of buffers
+	// circulates, and every one is back in the pool at the end.
+	<-srv.PipelineDone()
+	pool := cfg.Proc.Columnar.Pool
+	if pool == nil {
+		t.Fatal("columnar reorder drain ran without a tuple pool")
+	}
+	hits, misses := pool.Stats()
+	if hits == 0 || misses > uint64(cfg.Reorder)+2 {
+		t.Errorf("pool served %d gets from free buffers and allocated %d, want a window's worth (%d) recycled", hits, misses, cfg.Reorder)
+	}
+	if idle := pool.Idle(); uint64(idle) != misses {
+		t.Errorf("%d of %d pooled buffers returned after the run", idle, misses)
 	}
 }
 

@@ -417,6 +417,13 @@ func (s *Server) runPipeline(ctx context.Context) error {
 			Arena:   true,
 		})
 	case s.cfg.Columnar:
+		if s.cfg.Reorder > 1 && proc.Columnar.Pool == nil {
+			// Pooled emission is safe here: behind the reorder window the
+			// drain below copies each tuple into its colbatch (AppendTuple)
+			// before the next Next call, and the clean tap publishes a
+			// copy the runner made, so no emitted tuple outlives its pull.
+			proc.Columnar.Pool = stream.NewTuplePoolFor(s.cfg.Schema)
+		}
 		polluted, plog, err = proc.RunStreamColumnar(stream.WithContext(ctx, src), s.cfg.Reorder)
 	default:
 		polluted, plog, err = proc.RunStream(stream.WithContext(ctx, src), s.cfg.Reorder)

@@ -127,11 +127,17 @@ func (m *KWayMerge) Next() (Tuple, error) {
 // given capacity, the streaming analogue of allowed lateness: a tuple may
 // be displaced at most capacity-1 positions from its sorted location.
 // This lets delayed-tuple pollution flow through unbounded pipelines.
+//
+// The buffer is a ring that grows to capacity while the window first
+// fills and is never reallocated after that, so a steady-state Next
+// allocates nothing.
 type BoundedReorder struct {
-	src Source
-	buf []Tuple
-	cap int
-	eof bool
+	src  Source
+	ring []Tuple // buffered tuples in order, starting at head
+	head int
+	n    int
+	cap  int
+	eof  bool
 }
 
 // NewBoundedReorder wraps src with a reordering window of capacity tuples.
@@ -147,7 +153,7 @@ func (r *BoundedReorder) Schema() *Schema { return r.src.Schema() }
 
 // Next implements Source.
 func (r *BoundedReorder) Next() (Tuple, error) {
-	for !r.eof && len(r.buf) < r.cap {
+	for !r.eof && r.n < r.cap {
 		t, err := r.src.Next()
 		if err == io.EOF {
 			r.eof = true
@@ -158,23 +164,52 @@ func (r *BoundedReorder) Next() (Tuple, error) {
 		}
 		r.insert(t)
 	}
-	if len(r.buf) == 0 {
+	if r.n == 0 {
 		return Tuple{}, io.EOF
 	}
-	out := r.buf[0]
-	r.buf = r.buf[1:]
+	out := r.ring[r.head]
+	r.ring[r.head] = Tuple{}
+	r.head = r.at(1)
+	r.n--
 	return out, nil
 }
 
+// at maps the i-th buffered position to its ring slot.
+func (r *BoundedReorder) at(i int) int {
+	j := r.head + i
+	if j >= len(r.ring) {
+		j -= len(r.ring)
+	}
+	return j
+}
+
+// sortsAfter reports whether buffered tuple b sorts after t: later arrival,
+// or the same arrival and a larger ID.
+func sortsAfter(b, t *Tuple) bool {
+	if !b.Arrival.Equal(t.Arrival) {
+		return b.Arrival.After(t.Arrival)
+	}
+	return b.ID > t.ID
+}
+
 func (r *BoundedReorder) insert(t Tuple) {
-	i := sort.Search(len(r.buf), func(i int) bool {
-		b := r.buf[i]
-		if !b.Arrival.Equal(t.Arrival) {
-			return b.Arrival.After(t.Arrival)
+	if r.n == len(r.ring) {
+		// Grow (only while the window first fills), unrolling the ring.
+		grown := make([]Tuple, min(max(2*len(r.ring), 16), r.cap))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.ring[r.at(i)]
 		}
-		return b.ID > t.ID
-	})
-	r.buf = append(r.buf, Tuple{})
-	copy(r.buf[i+1:], r.buf[i:])
-	r.buf[i] = t
+		r.ring, r.head = grown, 0
+	}
+	// The insert position is the first buffered tuple after t. Nearly
+	// sorted input mostly lands at the end, so check that first.
+	i := r.n
+	if i > 0 && sortsAfter(&r.ring[r.at(i-1)], &t) {
+		i = sort.Search(r.n, func(k int) bool { return sortsAfter(&r.ring[r.at(k)], &t) })
+	}
+	for k := r.n; k > i; k-- {
+		r.ring[r.at(k)] = r.ring[r.at(k-1)]
+	}
+	r.ring[r.at(i)] = t
+	r.n++
 }
